@@ -64,13 +64,22 @@ const FLAGS: &[&str] = &[
 
 impl Args {
     /// Parses a raw argument vector (without the program name).
+    /// `--help` or `-h` anywhere after the subcommand asks for the help
+    /// text instead.
     ///
     /// # Errors
     ///
     /// Returns [`ArgError`] on a missing subcommand or a dangling
     /// option.
     pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, ArgError> {
-        let mut it = argv.into_iter().peekable();
+        let argv: Vec<String> = argv.into_iter().collect();
+        if argv.iter().skip(1).any(|a| a == "--help" || a == "-h") {
+            return Ok(Args {
+                command: "help".to_string(),
+                ..Args::default()
+            });
+        }
+        let mut it = argv.into_iter();
         let command = it.next().ok_or(ArgError::MissingCommand)?;
         let mut options = BTreeMap::new();
         let mut flags = Vec::new();

@@ -9,9 +9,9 @@ use clumsy_core::campaign::grid_hash;
 use clumsy_core::experiment::{paper_schemes, run_config_on_trace, ExperimentOptions, GridPoint};
 use clumsy_core::{
     interrupt, run_campaign_durable, run_campaign_instrumented, run_campaign_on, run_serve,
-    CampaignConfig, ClumsyConfig, DurableOptions, DynamicConfig, FrequencyPlan, JournalError,
-    ProgressReporter, RebalanceConfig, SafeModeConfig, ServeConfig, ShedPolicy, Stopwatch,
-    Telemetry, PAPER_CYCLE_TIMES,
+    CampaignConfig, ClumsyConfig, Counter, DurableOptions, DynamicConfig, FrequencyPlan,
+    JournalError, ProgressReporter, RebalanceConfig, SafeModeConfig, ServeConfig, ShedPolicy,
+    Stopwatch, Telemetry, PAPER_CYCLE_TIMES,
 };
 use energy_model::EdfMetric;
 use fault_model::{FaultProbabilityModel, PersistentSiteConfig, VoltageSwingCurve};
@@ -539,7 +539,7 @@ fn run(args: &Args) -> Result<String, CliError> {
         // `run` executes its trials serially in one call, so charge
         // each trial the average wall time of the batch.
         let trials = agg.runs.len().max(1);
-        t.add_total_jobs(trials as u64);
+        t.add(Counter::JobsTotal, trials as u64);
         let per_trial = span.elapsed() / trials as u32;
         for (i, r) in agg.runs.iter().enumerate() {
             t.record_report(i, r);

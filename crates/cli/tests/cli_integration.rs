@@ -22,6 +22,19 @@ fn no_arguments_prints_help() {
 }
 
 #[test]
+fn help_after_a_subcommand_prints_help_and_succeeds() {
+    for args in [
+        &["serve", "--help"][..],
+        &["run", "--help"],
+        &["run", "--app", "route", "-h"],
+    ] {
+        let (stdout, stderr, ok) = clumsy(args);
+        assert!(ok, "{args:?}: {stderr}");
+        assert!(stdout.contains("USAGE"), "{args:?}");
+    }
+}
+
+#[test]
 fn run_produces_a_report() {
     let (stdout, _, ok) = clumsy(&[
         "run",

@@ -1,10 +1,18 @@
 //! The clumsy processor: golden-vs-measured differential execution.
+//!
+//! [`GoldenStep`] and [`MeasuredStep`] are the two halves of the
+//! differential step every packet goes through, shared by the batch
+//! runner here and by the serve shards: the golden half runs the packet
+//! on a fault-free machine, the measured half on the design point, and
+//! the caller diffs the two outputs.
 
 use crate::config::{ClumsyConfig, FrequencyPlan};
 use crate::controller::{Decision, DynamicController};
 use crate::report::{FatalInfo, RunReport};
 use cache_sim::DetectionScheme;
-use netbench::{diff_observations, AppKind, Machine, Observation, Trace};
+use netbench::{
+    diff_observations, AppError, AppKind, Machine, Observation, Packet, PacketApp, Plane, Trace,
+};
 use std::collections::BTreeMap;
 
 /// Golden (fault-free) reference observations for one app over a trace.
@@ -12,6 +20,163 @@ use std::collections::BTreeMap;
 pub struct GoldenData {
     init_obs: Vec<Observation>,
     per_packet: Vec<Vec<Observation>>,
+}
+
+/// The golden half of the differential step: a fault-free machine that
+/// has run the app's control plane and drained its tables to L2.
+pub(crate) struct GoldenStep {
+    machine: Machine,
+    app: Box<dyn PacketApp>,
+    fuel: u64,
+}
+
+impl GoldenStep {
+    /// Builds the machine and runs the app's setup on `context`;
+    /// returns the step and the setup observations.
+    pub(crate) fn new(kind: AppKind, context: &Trace) -> (Self, Vec<Observation>) {
+        let mut machine = Machine::strongarm(0);
+        machine.set_inject(false);
+        let mut app = kind.instantiate(context);
+        machine.set_fuel(app.setup_fuel());
+        let init_obs = app
+            .setup(&mut machine)
+            .expect("golden setup cannot fail without faults");
+        machine.writeback_all();
+        let fuel = app.fuel_per_packet();
+        (GoldenStep { machine, app, fuel }, init_obs)
+    }
+
+    /// Runs one packet; returns its marked values.
+    pub(crate) fn process(&mut self, pkt: &Packet) -> Vec<Observation> {
+        // `TrafficSource::new` rejects payloads that overflow a DMA
+        // buffer, so a generated packet always fits.
+        let view = self
+            .machine
+            .dma_packet(pkt)
+            .expect("packet fits DMA buffer");
+        self.machine.set_fuel(self.fuel);
+        self.app
+            .process(&mut self.machine, view)
+            .expect("golden processing cannot fail without faults")
+    }
+}
+
+/// How the measured pass ended for one packet.
+pub(crate) enum Measured {
+    /// The app finished; its marked values.
+    Done(Vec<Observation>),
+    /// The app raised a fatal error.
+    Failed(AppError),
+    /// The packet never reached the app: the DMA write failed.
+    DmaFailed(AppError),
+}
+
+/// The measured half of the differential step: the design point's
+/// machine with its clock plan, and the dynamic controller watching its
+/// fault counter.
+pub(crate) struct MeasuredStep {
+    machine: Machine,
+    app: Box<dyn PacketApp>,
+    fuel: u64,
+    controller: Option<DynamicController>,
+    detection: DetectionScheme,
+    faults_seen: u64,
+}
+
+impl MeasuredStep {
+    /// Builds `cfg`'s machine on fault stream `seed`, clocked at the
+    /// plan's starting cycle time. Run [`MeasuredStep::setup`] next.
+    pub(crate) fn new(kind: AppKind, context: &Trace, cfg: &ClumsyConfig, seed: u64) -> Self {
+        let mut machine = Machine::with_config(cfg.mem.clone(), seed);
+        machine.set_fault_planes(cfg.planes);
+        let app = kind.instantiate(context);
+        let fuel = cfg.fuel_per_packet.unwrap_or(app.fuel_per_packet());
+        let controller = match &cfg.frequency {
+            FrequencyPlan::Static(cr) => {
+                machine.set_cycle_free(*cr);
+                None
+            }
+            FrequencyPlan::Dynamic(d) => {
+                let ctl = DynamicController::new(d.clone());
+                machine.set_cycle_free(ctl.cycle_time());
+                Some(ctl)
+            }
+        };
+        MeasuredStep {
+            machine,
+            app,
+            fuel,
+            controller,
+            detection: cfg.mem.detection,
+            faults_seen: 0,
+        }
+    }
+
+    /// Runs the control plane. On success the tables are stable, so
+    /// they are drained to L2 — strike recovery then has a correct copy
+    /// to restore (write-buffer drain, no stall) — and the machine
+    /// moves to the data plane.
+    pub(crate) fn setup(&mut self) -> Result<Vec<Observation>, AppError> {
+        self.machine.set_plane(Plane::Control);
+        self.machine.set_fuel(self.app.setup_fuel());
+        let init_obs = self.app.setup(&mut self.machine)?;
+        self.machine.writeback_all();
+        self.machine.set_plane(Plane::Data);
+        self.faults_seen = fault_count(&self.machine, self.detection);
+        Ok(init_obs)
+    }
+
+    /// Runs one packet on the data plane.
+    pub(crate) fn process(&mut self, pkt: &Packet) -> Measured {
+        let view = match self.machine.dma_packet(pkt) {
+            Ok(view) => view,
+            Err(e) => return Measured::DmaFailed(e),
+        };
+        self.machine.set_fuel(self.fuel);
+        match self.app.process(&mut self.machine, view) {
+            Ok(obs) => Measured::Done(obs),
+            Err(e) => Measured::Failed(e),
+        }
+    }
+
+    /// Feeds the faults observed since the last tick to the dynamic
+    /// controller and applies a frequency switch. Returns that fault
+    /// delta and the controller's decision; `None` under a static plan.
+    pub(crate) fn tick(&mut self) -> Option<(u64, Option<Decision>)> {
+        let ctl = self.controller.as_mut()?;
+        let now = fault_count(&self.machine, self.detection);
+        let delta = now - self.faults_seen;
+        self.faults_seen = now;
+        let decision = ctl.on_packet(delta);
+        if let Some(Decision::Switch(cr)) = decision {
+            self.machine.set_cycle(cr);
+        }
+        Some((delta, decision))
+    }
+
+    /// The measured machine.
+    pub(crate) fn machine(&self) -> &Machine {
+        &self.machine
+    }
+
+    /// The dynamic controller, under a dynamic plan.
+    pub(crate) fn controller(&self) -> Option<&DynamicController> {
+        self.controller.as_ref()
+    }
+}
+
+/// The fault counter the controller observes: parity detections plus
+/// ECC in-place corrections when detection hardware exists (the
+/// syndrome logic sees a correction just as it sees a detection),
+/// otherwise the injected count (an oracle stand-in; the paper is
+/// silent on the no-detection case).
+fn fault_count(machine: &Machine, detection: DetectionScheme) -> u64 {
+    let stats = machine.stats();
+    if detection.is_enabled() {
+        stats.faults_detected + stats.faults_corrected
+    } else {
+        stats.faults_injected
+    }
 }
 
 /// Runs NetBench applications on a clumsy design point and reports the
@@ -54,23 +219,8 @@ impl ClumsyProcessor {
     /// Computes the golden reference for `kind` over `trace`. Reusable
     /// across design points (the golden pass does not depend on them).
     pub fn golden(kind: AppKind, trace: &Trace) -> GoldenData {
-        let mut machine = Machine::strongarm(0);
-        machine.set_inject(false);
-        let mut app = kind.instantiate(trace);
-        machine.set_fuel(app.setup_fuel());
-        let init_obs = app
-            .setup(&mut machine)
-            .expect("golden setup cannot fail without faults");
-        machine.writeback_all();
-        let mut per_packet = Vec::with_capacity(trace.packets.len());
-        for pkt in &trace.packets {
-            let view = machine.dma_packet(pkt).expect("packet fits DMA buffer");
-            machine.set_fuel(app.fuel_per_packet());
-            per_packet.push(
-                app.process(&mut machine, view)
-                    .expect("golden processing cannot fail without faults"),
-            );
-        }
+        let (mut step, init_obs) = GoldenStep::new(kind, trace);
+        let per_packet = trace.packets.iter().map(|pkt| step.process(pkt)).collect();
         GoldenData {
             init_obs,
             per_packet,
@@ -95,25 +245,8 @@ impl ClumsyProcessor {
             trace.packets.len(),
             "golden data does not match the trace"
         );
-        let mut machine = Machine::with_config(self.cfg.mem.clone(), self.cfg.seed);
-        machine.set_fault_planes(self.cfg.planes);
-        let mut app = kind.instantiate(trace);
-        let fuel = self.cfg.fuel_per_packet.unwrap_or(app.fuel_per_packet());
-
-        // Configure the clock plan.
-        let mut controller = match &self.cfg.frequency {
-            FrequencyPlan::Static(cr) => {
-                machine.set_cycle_free(*cr);
-                None
-            }
-            FrequencyPlan::Dynamic(d) => {
-                let ctl = DynamicController::new(d.clone());
-                machine.set_cycle_free(ctl.cycle_time());
-                Some(ctl)
-            }
-        };
-        let mut freq_trace = vec![(0usize, machine.cycle_time())];
-
+        let mut step = MeasuredStep::new(kind, trace, &self.cfg, self.cfg.seed);
+        let mut freq_trace = vec![(0usize, step.machine().cycle_time())];
         let mut report = RunReport {
             app: kind.name(),
             packets_attempted: trace.packets.len(),
@@ -132,10 +265,7 @@ impl ClumsyProcessor {
             epoch_faults: Vec::new(),
         };
 
-        // Control plane.
-        machine.set_plane(netbench::Plane::Control);
-        machine.set_fuel(app.setup_fuel());
-        match app.setup(&mut machine) {
+        match step.setup() {
             Ok(init_obs) => {
                 let diff = diff_observations(&golden.init_obs, &init_obs);
                 // Count wrong samples pairwise for a finer probability.
@@ -147,39 +277,20 @@ impl ClumsyProcessor {
                     .count()
                     .max(usize::from(diff.has_error()));
             }
-            Err(e) => {
+            Err(error) => {
                 report.fatal = Some(FatalInfo {
                     packet_index: 0,
-                    error: e,
+                    error,
                 });
-                Self::finalize(&self.cfg, &mut report, &machine, freq_trace);
+                self.finalize(&mut report, step.machine(), freq_trace);
                 return report;
             }
         }
 
-        // Tables are stable now: drain them to L2 so strike recovery
-        // has a correct copy to restore (write-buffer drain, no stall).
-        machine.writeback_all();
-
-        // Data plane.
-        machine.set_plane(netbench::Plane::Data);
-        let detection = self.cfg.mem.detection;
-        let mut faults_seen = Self::fault_count(&machine, detection);
         let mut epoch_acc = 0u64;
         for (idx, pkt) in trace.packets.iter().enumerate() {
-            let view = match machine.dma_packet(pkt) {
-                Ok(v) => v,
-                Err(e) => {
-                    report.fatal = Some(FatalInfo {
-                        packet_index: idx,
-                        error: e,
-                    });
-                    break;
-                }
-            };
-            machine.set_fuel(fuel);
-            match app.process(&mut machine, view) {
-                Ok(obs) => {
+            match step.process(pkt) {
+                Measured::Done(obs) => {
                     report.packets_completed += 1;
                     let diff = diff_observations(&golden.per_packet[idx], &obs);
                     if diff.has_error() {
@@ -189,68 +300,40 @@ impl ClumsyProcessor {
                         }
                     }
                 }
-                Err(e) => {
-                    if self.cfg.watchdog {
-                        // Footnote 3: contain the fatal error — drop the
-                        // packet and keep the processor running.
-                        report.dropped_packets += 1;
-                    } else {
-                        report.fatal = Some(FatalInfo {
-                            packet_index: idx,
-                            error: e,
-                        });
-                        break;
-                    }
+                // Footnote 3: the watchdog contains a fatal error — drop
+                // the packet and keep the processor running.
+                Measured::Failed(_) if self.cfg.watchdog => report.dropped_packets += 1,
+                Measured::Failed(error) | Measured::DmaFailed(error) => {
+                    report.fatal = Some(FatalInfo {
+                        packet_index: idx,
+                        error,
+                    });
+                    break;
                 }
             }
             // Dynamic adaptation on the observed fault counter.
-            if let Some(ctl) = controller.as_mut() {
-                let now = Self::fault_count(&machine, detection);
-                let delta = now - faults_seen;
-                faults_seen = now;
+            if let Some((delta, decision)) = step.tick() {
                 epoch_acc += delta;
-                match ctl.on_packet(delta) {
-                    None => {}
-                    Some(decision) => {
-                        report.epoch_faults.push(epoch_acc);
-                        epoch_acc = 0;
-                        if let Decision::Switch(cr) = decision {
-                            machine.set_cycle(cr);
-                            freq_trace.push((idx + 1, cr));
-                        }
+                if let Some(decision) = decision {
+                    report.epoch_faults.push(epoch_acc);
+                    epoch_acc = 0;
+                    if let Decision::Switch(cr) = decision {
+                        freq_trace.push((idx + 1, cr));
                     }
                 }
             }
         }
 
-        Self::finalize(&self.cfg, &mut report, &machine, freq_trace);
+        self.finalize(&mut report, step.machine(), freq_trace);
         report
     }
 
-    /// The fault counter the controller observes: parity detections plus
-    /// ECC in-place corrections when detection hardware exists (the
-    /// syndrome logic sees a correction just as it sees a detection),
-    /// otherwise the injected count (an oracle stand-in; the paper is
-    /// silent on the no-detection case).
-    pub(crate) fn fault_count(machine: &Machine, detection: DetectionScheme) -> u64 {
-        if detection.is_enabled() {
-            machine.stats().faults_detected + machine.stats().faults_corrected
-        } else {
-            machine.stats().faults_injected
-        }
-    }
-
-    fn finalize(
-        cfg: &ClumsyConfig,
-        report: &mut RunReport,
-        machine: &Machine,
-        freq_trace: Vec<(usize, f64)>,
-    ) {
+    fn finalize(&self, report: &mut RunReport, machine: &Machine, freq_trace: Vec<(usize, f64)>) {
         report.instructions = machine.instructions();
         report.cycles = machine.cycles();
         report.stats = *machine.stats();
         let mut energy = machine.energy();
-        energy.core_nj += cfg.mem.energy.core_energy(machine.cycles());
+        energy.core_nj += self.cfg.mem.energy.core_energy(machine.cycles());
         report.energy = energy;
         report.freq_trace = freq_trace;
     }

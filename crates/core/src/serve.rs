@@ -32,14 +32,13 @@
 //! no packet was lost untracked or processed twice.
 
 use crate::campaign::{panic_message, RESEED_STRIDE};
-use crate::config::{ClumsyConfig, FrequencyPlan};
-use crate::controller::{Decision, DynamicController};
-use crate::processor::ClumsyProcessor;
-use crate::telemetry::Telemetry;
-use cache_sim::{DetectionScheme, MemStats};
+use crate::config::ClumsyConfig;
+use crate::processor::{GoldenStep, Measured, MeasuredStep};
+use crate::telemetry::{Counter, Telemetry};
+use cache_sim::MemStats;
 use netbench::{
-    diff_observations, fnv1a_fold, AppError, AppKind, FlowClassifier, Machine, Packet, PacketApp,
-    Plane, Trace, TraceConfig, TrafficClass, TrafficSource, FNV_OFFSET,
+    diff_observations, fnv1a_fold, AppError, AppKind, FlowClassifier, Packet, Trace, TraceConfig,
+    TrafficClass, TrafficSource, FNV_OFFSET,
 };
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -268,7 +267,7 @@ impl IngressQueue {
     /// turns into shedding after `shed_timeout`: the packet is dropped
     /// at ingress rather than allocated beyond the bound.
     pub fn push(&self, pkt: Packet, shed_timeout: Duration) -> PushOutcome {
-        let flow = flow_hash(&pkt);
+        let flow = pkt.flow_hash();
         self.push_entry(
             Entry {
                 pkt,
@@ -564,16 +563,10 @@ impl IngressQueue {
     }
 }
 
-/// The flow hash behind shard selection: [`Packet::flow_hash`], the
-/// one shared FNV-1a 5-tuple hash. The sharder, the classifier and the
-/// [`FlowDirector`] all route by this single implementation, so they
-/// can never silently diverge.
-fn flow_hash(pkt: &Packet) -> u64 {
-    pkt.flow_hash()
-}
-
 /// The shard a packet belongs to: a flow hash over the 5-tuple, so one
-/// flow's packets always arrive at one shard in order.
+/// flow's packets always arrive at one shard in order. The hash is
+/// [`Packet::flow_hash`], the one the classifier and the
+/// [`FlowDirector`] route by too, so they can never silently diverge.
 ///
 /// # Panics
 ///
@@ -581,7 +574,7 @@ fn flow_hash(pkt: &Packet) -> u64 {
 #[must_use]
 pub fn flow_shard(pkt: &Packet, shards: usize) -> usize {
     assert!(shards > 0, "need at least one shard");
-    usize::try_from(flow_hash(pkt) % shards as u64).expect("shard index fits usize")
+    usize::try_from(pkt.flow_hash() % shards as u64).expect("shard index fits usize")
 }
 
 /// Tuning for skew rebalancing (see [`FlowDirector`]).
@@ -1310,124 +1303,53 @@ enum PacketVerdict {
     Dropped,
 }
 
-/// One generation of a shard: lock-stepped golden + measured machine
-/// pair at stream granularity. The golden machine never injects, so
-/// both apps see the same packet sequence and the per-packet diff is
-/// exactly the batch runner's differential execution, just unbounded.
+/// One generation of a shard: the differential step at stream
+/// granularity. The golden half never injects, so both halves see the
+/// same packet sequence and the per-packet diff is exactly the batch
+/// runner's differential execution, just unbounded.
 struct ShardState {
-    golden_machine: Machine,
-    golden_app: Box<dyn PacketApp>,
-    golden_fuel: u64,
-    machine: Machine,
-    app: Box<dyn PacketApp>,
-    fuel: u64,
-    controller: Option<DynamicController>,
-    detection: DetectionScheme,
-    faults_seen: u64,
+    golden: GoldenStep,
+    measured: MeasuredStep,
     published: MemStats,
 }
 
 impl ShardState {
-    /// Builds both machines and runs both control planes. A fatal in
-    /// the measured control plane is an `Err` — the caller retries
-    /// with a reseeded stream.
+    /// Builds both halves and runs both control planes. A fatal in the
+    /// measured control plane is an `Err` — the caller retries with a
+    /// reseeded stream.
     fn build(cfg: &ServeConfig, context: &Trace, seed: u64) -> Result<ShardState, AppError> {
-        // Golden side: mirrors `ClumsyProcessor::golden`.
-        let mut golden_machine = Machine::strongarm(0);
-        golden_machine.set_inject(false);
-        let mut golden_app = cfg.app.instantiate(context);
-        golden_machine.set_fuel(golden_app.setup_fuel());
-        golden_app
-            .setup(&mut golden_machine)
-            .expect("golden setup cannot fail without faults");
-        let golden_fuel = golden_app.fuel_per_packet();
-
-        // Measured side: mirrors `ClumsyProcessor::run_with_golden`.
-        let mut machine = Machine::with_config(cfg.design.mem.clone(), seed);
-        machine.set_fault_planes(cfg.design.planes);
-        let mut app = cfg.app.instantiate(context);
-        let fuel = cfg.design.fuel_per_packet.unwrap_or(app.fuel_per_packet());
-        let controller = match &cfg.design.frequency {
-            FrequencyPlan::Static(cr) => {
-                machine.set_cycle_free(*cr);
-                None
-            }
-            FrequencyPlan::Dynamic(d) => {
-                let ctl = DynamicController::new(d.clone());
-                machine.set_cycle_free(ctl.cycle_time());
-                Some(ctl)
-            }
-        };
-        machine.set_plane(Plane::Control);
-        machine.set_fuel(app.setup_fuel());
-        app.setup(&mut machine)?;
-        machine.writeback_all();
-        machine.set_plane(Plane::Data);
-        let detection = cfg.design.mem.detection;
-        let faults_seen = ClumsyProcessor::fault_count(&machine, detection);
-        let published = *machine.stats();
+        let (golden, _) = GoldenStep::new(cfg.app, context);
+        let mut measured = MeasuredStep::new(cfg.app, context, &cfg.design, seed);
+        measured.setup()?;
+        let published = *measured.machine().stats();
         Ok(ShardState {
-            golden_machine,
-            golden_app,
-            golden_fuel,
-            machine,
-            app,
-            fuel,
-            controller,
-            detection,
-            faults_seen,
+            golden,
+            measured,
             published,
         })
     }
 
-    /// Runs one packet through both machines and classifies it.
+    /// Runs one packet through both halves, classifies it, and ticks
+    /// the dynamic controller — online, per shard, forever.
     fn process_packet(&mut self, pkt: &Packet) -> PacketVerdict {
-        let view = self
-            .golden_machine
-            .dma_packet(pkt)
-            .expect("packet fits DMA buffer");
-        self.golden_machine.set_fuel(self.golden_fuel);
-        let golden_obs = self
-            .golden_app
-            .process(&mut self.golden_machine, view)
-            .expect("golden processing cannot fail without faults");
-
-        let verdict = match self.machine.dma_packet(pkt) {
+        let golden_obs = self.golden.process(pkt);
+        let verdict = match self.measured.process(pkt) {
+            Measured::Done(obs) if diff_observations(&golden_obs, &obs).has_error() => {
+                PacketVerdict::Erroneous
+            }
+            Measured::Done(_) => PacketVerdict::Clean,
             // Never wedge: a fatal in serve always takes the watchdog
             // path (drop the packet, keep the machine alive).
-            Err(_) => PacketVerdict::Dropped,
-            Ok(view) => {
-                self.machine.set_fuel(self.fuel);
-                match self.app.process(&mut self.machine, view) {
-                    Ok(obs) => {
-                        if diff_observations(&golden_obs, &obs).has_error() {
-                            PacketVerdict::Erroneous
-                        } else {
-                            PacketVerdict::Clean
-                        }
-                    }
-                    Err(_) => PacketVerdict::Dropped,
-                }
-            }
+            Measured::Failed(_) | Measured::DmaFailed(_) => PacketVerdict::Dropped,
         };
-
-        // Dynamic adaptation on the observed fault counter, exactly as
-        // in the batch runner — but online, per shard, forever.
-        if let Some(ctl) = self.controller.as_mut() {
-            let now = ClumsyProcessor::fault_count(&self.machine, self.detection);
-            let delta = now - self.faults_seen;
-            self.faults_seen = now;
-            if let Some(Decision::Switch(cr)) = ctl.on_packet(delta) {
-                self.machine.set_cycle(cr);
-            }
-        }
+        self.measured.tick();
         verdict
     }
 
     /// Publishes the fault counters accumulated since the last publish
     /// into telemetry and the shard report.
     fn publish(&mut self, rep: &mut ShardReport, telemetry: Option<&Telemetry>, worker: usize) {
-        let now = *self.machine.stats();
+        let now = *self.measured.machine().stats();
         let delta = now.since(&self.published);
         if let Some(t) = telemetry {
             t.record_stats(worker, &delta);
@@ -1436,6 +1358,13 @@ impl ShardState {
         rep.faults_detected += delta.faults_detected;
         rep.ways_disabled += delta.ways_disabled;
         self.published = now;
+    }
+}
+
+/// Adds `n` to `counter` on shard `worker` when telemetry is attached.
+fn tally(telemetry: Option<&Telemetry>, worker: usize, counter: Counter, n: u64) {
+    if let Some(t) = telemetry {
+        t.add_on(worker, counter, n);
     }
 }
 
@@ -1471,9 +1400,7 @@ fn shard_loop(
             }
             Err(_) => {
                 rep.setup_retries += 1;
-                if let Some(t) = telemetry {
-                    t.shard_setup_retry();
-                }
+                tally(telemetry, 0, Counter::ShardSetupRetries, 1);
             }
         }
     }
@@ -1483,9 +1410,7 @@ fn shard_loop(
         // and the sibling shards keep moving.
         while queue.pop().is_some() {
             rep.dropped += 1;
-            if let Some(t) = telemetry {
-                t.packet_dropped(shard);
-            }
+            tally(telemetry, shard, Counter::PacketsDropped, 1);
         }
         return;
     };
@@ -1514,7 +1439,7 @@ fn shard_loop(
             match verdict {
                 PacketVerdict::Clean => t.packet_processed(shard, false),
                 PacketVerdict::Erroneous => t.packet_processed(shard, true),
-                PacketVerdict::Dropped => t.packet_dropped(shard),
+                PacketVerdict::Dropped => t.add_on(shard, Counter::PacketsDropped, 1),
             }
         }
         in_flight.set(None);
@@ -1525,10 +1450,10 @@ fn shard_loop(
         }
     }
     state.publish(rep, telemetry, shard);
-    if let Some(ctl) = &state.controller {
+    if let Some(ctl) = state.measured.controller() {
         rep.safe_mode_entries += u64::from(ctl.safe_mode_entries());
     }
-    rep.final_cycle = state.machine.cycle_time();
+    rep.final_cycle = state.measured.machine().cycle_time();
 }
 
 /// Supervises one shard for the lifetime of the run: every generation
@@ -1572,14 +1497,10 @@ fn supervise_shard(
                 rep.last_panic = Some(panic_message(payload));
                 if in_flight.take().is_some() {
                     rep.abandoned += 1;
-                    if let Some(t) = telemetry {
-                        t.packet_abandoned();
-                    }
+                    tally(telemetry, 0, Counter::PacketsAbandoned, 1);
                 }
-                if let Some(t) = telemetry {
-                    t.shard_panic();
-                    t.shard_restarted();
-                }
+                tally(telemetry, 0, Counter::ShardPanics, 1);
+                tally(telemetry, 0, Counter::ShardRestarts, 1);
                 // Loop: the next generation rebuilds with the next
                 // reseed round and keeps consuming the same queue.
             }
@@ -1685,7 +1606,7 @@ pub fn run_serve(
             }
             let pkt = source.next_packet();
             generated += 1;
-            let flow = flow_hash(&pkt);
+            let flow = pkt.flow_hash();
             let class = classifier
                 .as_ref()
                 .map_or(TrafficClass::Data, |c| c.classify(flow));
@@ -1703,12 +1624,11 @@ pub fn run_serve(
             if let (Some(s), Some(t)) = (slo.as_mut(), telemetry) {
                 if generated.is_multiple_of(SLO_CHECK_INTERVAL) {
                     s.update(&t.serve_latency_bucket_counts());
-                    if s.activations > slo_reported_activations {
-                        for _ in slo_reported_activations..s.activations {
-                            t.slo_activation();
-                        }
-                        slo_reported_activations = s.activations;
-                    }
+                    t.add(
+                        Counter::SloTriggerActivations,
+                        s.activations - slo_reported_activations,
+                    );
+                    slo_reported_activations = s.activations;
                     t.set_slo_last_p99_us(s.last_p99_us);
                 }
                 if s.active && class == TrafficClass::Data {
@@ -1726,11 +1646,9 @@ pub fn run_serve(
                     RouteKind::Natural => {}
                     RouteKind::Pinned | RouteKind::NewPin => {
                         packets_diverted += 1;
-                        if let Some(t) = telemetry {
-                            t.packet_diverted();
-                            if kind == RouteKind::NewPin {
-                                t.flow_diverted();
-                            }
+                        tally(telemetry, 0, Counter::PacketsDiverted, 1);
+                        if kind == RouteKind::NewPin {
+                            tally(telemetry, 0, Counter::FlowsDiverted, 1);
                         }
                     }
                 }
@@ -1753,8 +1671,8 @@ pub fn run_serve(
                     if class == TrafficClass::Control {
                         control_ingested += 1;
                     }
+                    tally(telemetry, 0, Counter::PacketsIngested, 1);
                     if let Some(t) = telemetry {
-                        t.packet_ingested();
                         t.queue_depth_sample(depth as u64);
                     }
                 }
@@ -1767,9 +1685,9 @@ pub fn run_serve(
                     // control in, −1 data out — the data packet was
                     // already counted when it was enqueued), and the
                     // eviction is one data-class shed attributed to
-                    // the evicted flow. Telemetry mirrors this with
-                    // monotone counters: no packet_ingested for the
-                    // control packet, one packet_shed for the evicted
+                    // the evicted flow. Telemetry records the same with
+                    // monotone counters: no packets_ingested for the
+                    // control packet, one packets_shed for the evicted
                     // one, so `generated = ingested + shed` stays
                     // exact on both ledgers.
                     shed += 1;
@@ -1779,10 +1697,10 @@ pub fn run_serve(
                     if overload_on {
                         flow_stats.entry(evicted_flow).or_insert((0, 0)).1 += 1;
                     }
+                    tally(telemetry, 0, Counter::PacketsShed, 1);
+                    tally(telemetry, 0, Counter::PacketsShedData, 1);
+                    tally(telemetry, 0, Counter::PacketsPreemptShed, 1);
                     if let Some(t) = telemetry {
-                        t.packet_shed();
-                        t.packet_shed_data();
-                        t.packet_preempt_shed();
                         t.queue_depth_sample(depth as u64);
                     }
                 }
@@ -1802,17 +1720,16 @@ pub fn run_serve(
                     if overload_on {
                         flow_stats.entry(flow).or_insert((0, 0)).1 += 1;
                     }
-                    if let Some(t) = telemetry {
-                        t.packet_shed();
-                        if classes_on {
-                            match class {
-                                TrafficClass::Control => t.packet_shed_control(),
-                                TrafficClass::Data => t.packet_shed_data(),
-                            }
-                        }
-                        if slo_tightened {
-                            t.packet_shed_slo();
-                        }
+                    tally(telemetry, 0, Counter::PacketsShed, 1);
+                    if classes_on {
+                        let counter = match class {
+                            TrafficClass::Control => Counter::PacketsShedControl,
+                            TrafficClass::Data => Counter::PacketsShedData,
+                        };
+                        tally(telemetry, 0, counter, 1);
+                    }
+                    if slo_tightened {
+                        tally(telemetry, 0, Counter::PacketsShedSlo, 1);
                     }
                 }
                 PushOutcome::ShedFlowCap => {
@@ -1824,12 +1741,10 @@ pub fn run_serve(
                         data_shed += 1;
                     }
                     flow_stats.entry(flow).or_insert((0, 0)).1 += 1;
-                    if let Some(t) = telemetry {
-                        t.packet_shed();
-                        t.packet_shed_flow_cap();
-                        if classes_on {
-                            t.packet_shed_data();
-                        }
+                    tally(telemetry, 0, Counter::PacketsShed, 1);
+                    tally(telemetry, 0, Counter::PacketsShedFlowCap, 1);
+                    if classes_on {
+                        tally(telemetry, 0, Counter::PacketsShedData, 1);
                     }
                 }
                 PushOutcome::Closed => break,
@@ -1851,20 +1766,14 @@ pub fn run_serve(
         for q in &queues {
             t.queue_depth_sample(q.highwater() as u64);
         }
-        let repairs: u64 = queues.iter().map(IngressQueue::invariant_repairs).sum();
-        if repairs > 0 {
-            t.add_queue_invariant_repairs(repairs);
-        }
     }
+    let repairs: u64 = queues.iter().map(IngressQueue::invariant_repairs).sum();
+    tally(telemetry, 0, Counter::QueueInvariantRepairs, repairs);
     let overload = overload_on.then(|| {
         let drr_deficit_topups: u64 = queues.iter().map(IngressQueue::drr_topups).sum();
         let pin_table_full = director.as_ref().map_or(0, FlowDirector::pin_table_full);
-        if let Some(t) = telemetry {
-            t.add_drr_topups(drr_deficit_topups);
-            if pin_table_full > 0 {
-                t.add_pin_table_full(pin_table_full);
-            }
-        }
+        tally(telemetry, 0, Counter::DrrDeficitTopups, drr_deficit_topups);
+        tally(telemetry, 0, Counter::RebalancePinTableFull, pin_table_full);
         let mut top_flows: Vec<FlowTraffic> = flow_stats
             .iter()
             .map(|(&flow, &(offered, shed))| FlowTraffic {
@@ -1954,6 +1863,14 @@ mod tests {
         assert!(q.pop().is_some());
         assert!(q.pop().is_some());
         assert!(q.pop().is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "DMA buffer")]
+    fn serve_rejects_traffic_whose_packets_overflow_a_dma_buffer() {
+        let mut traffic = small_traffic();
+        traffic.payload_max = 4096;
+        let _ = run_serve(&serve_cfg(10).with_traffic(traffic), None, &|| false);
     }
 
     #[test]
@@ -2107,7 +2024,7 @@ mod tests {
     #[test]
     fn colliding_fixture_really_collides() {
         let pkts = colliding_flows(1, 4, 32);
-        let distinct: std::collections::HashSet<u64> = pkts.iter().map(flow_hash).collect();
+        let distinct: std::collections::HashSet<u64> = pkts.iter().map(Packet::flow_hash).collect();
         assert_eq!(distinct.len(), 32, "fixture flows must be distinct");
         assert!(pkts.iter().all(|p| flow_shard(p, 4) == 1));
     }
@@ -2184,26 +2101,26 @@ mod tests {
             assert!(matches!(q.push(p, long), PushOutcome::Enqueued(_)));
         }
         let (ma, mb) = (tuple_pkt(1), tuple_pkt(2));
-        assert_ne!(flow_hash(&ma), flow_hash(&elephant));
-        assert_ne!(flow_hash(&mb), flow_hash(&elephant));
+        assert_ne!(ma.flow_hash(), elephant.flow_hash());
+        assert_ne!(mb.flow_hash(), elephant.flow_hash());
         assert!(matches!(q.push(ma.clone(), long), PushOutcome::Enqueued(_)));
         assert!(matches!(q.push(mb.clone(), long), PushOutcome::Enqueued(_)));
         q.close();
         let drained: Vec<Packet> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(drained.len(), 8);
-        let order: Vec<u64> = drained.iter().map(flow_hash).collect();
+        let order: Vec<u64> = drained.iter().map(Packet::flow_hash).collect();
         let pos = |h: u64| order.iter().position(|&x| x == h).expect("flow served");
         // Both mice are served before the elephant's last packet.
         let last_elephant = order
             .iter()
-            .rposition(|&x| x == flow_hash(&elephant))
+            .rposition(|&x| x == elephant.flow_hash())
             .unwrap();
-        assert!(pos(flow_hash(&ma)) < last_elephant, "{order:?}");
-        assert!(pos(flow_hash(&mb)) < last_elephant, "{order:?}");
+        assert!(pos(ma.flow_hash()) < last_elephant, "{order:?}");
+        assert!(pos(mb.flow_hash()) < last_elephant, "{order:?}");
         // Per-flow order is preserved: the elephant's ids ascend.
         let elephant_ids: Vec<u32> = drained
             .iter()
-            .filter(|p| flow_hash(p) == flow_hash(&elephant))
+            .filter(|p| p.flow_hash() == elephant.flow_hash())
             .map(|p| p.id)
             .collect();
         assert!(
@@ -2247,7 +2164,10 @@ mod tests {
         );
         let depths_hot = [60usize, 2, 1, 5]; // shard 0 ≥ 7/8 of 64
                                              // Flows that naturally hash to shard 0.
-        let flows: Vec<u64> = colliding_flows(0, 4, 6).iter().map(flow_hash).collect();
+        let flows: Vec<u64> = colliding_flows(0, 4, 6)
+            .iter()
+            .map(Packet::flow_hash)
+            .collect();
         // Before the window fills, first sightings stay natural.
         d.observe(&depths_hot, 64);
         let (s, kind) = d.route(flows[0], &depths_hot);
@@ -2283,7 +2203,10 @@ mod tests {
             },
         );
         let depths = [64usize, 0];
-        let flows: Vec<u64> = colliding_flows(0, 2, 5).iter().map(flow_hash).collect();
+        let flows: Vec<u64> = colliding_flows(0, 2, 5)
+            .iter()
+            .map(Packet::flow_hash)
+            .collect();
         d.observe(&depths, 64);
         for (i, &f) in flows.iter().enumerate() {
             d.observe(&depths, 64);
@@ -2377,7 +2300,7 @@ mod tests {
     }
 
     fn entry_of(pkt: Packet, class: TrafficClass) -> Entry {
-        let flow = flow_hash(&pkt);
+        let flow = pkt.flow_hash();
         Entry {
             pkt,
             flow,
@@ -2406,7 +2329,7 @@ mod tests {
             out,
             PushOutcome::Preempted {
                 depth: 2,
-                evicted_flow: flow_hash(&b),
+                evicted_flow: b.flow_hash(),
             }
         );
         q.close();
@@ -2432,7 +2355,7 @@ mod tests {
             out,
             PushOutcome::Preempted {
                 depth: 4,
-                evicted_flow: flow_hash(&x),
+                evicted_flow: x.flow_hash(),
             }
         );
         // The victim was the *tail* of the backlogged flow: its first
@@ -2626,7 +2549,10 @@ mod tests {
             },
         );
         let depths = [64usize, 0];
-        let flows: Vec<u64> = colliding_flows(0, 2, 4).iter().map(flow_hash).collect();
+        let flows: Vec<u64> = colliding_flows(0, 2, 4)
+            .iter()
+            .map(Packet::flow_hash)
+            .collect();
         d.observe(&depths, 64);
         for &f in &flows {
             d.observe(&depths, 64);

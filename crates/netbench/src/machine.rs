@@ -108,7 +108,7 @@ pub struct PacketView {
 }
 
 /// Size of each DMA ring buffer in bytes.
-const DMA_BUF_BYTES: u32 = 2048;
+pub(crate) const DMA_BUF_BYTES: u32 = 2048;
 /// Number of DMA ring buffers.
 const DMA_RING: usize = 8;
 

@@ -7,7 +7,8 @@
 //! distribution, so caches see realistic locality), and URL requests
 //! drawn from a synthetic corpus.
 
-use crate::packet::{hash_tuple, Packet};
+use crate::machine::DMA_BUF_BYTES;
+use crate::packet::{hash_tuple, Packet, HEADER_BYTES};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -276,9 +277,10 @@ impl TrafficSource {
     ///
     /// # Panics
     ///
-    /// Panics if a flow/prefix/url count is zero or
-    /// `payload_min > payload_max` (`packets` is ignored — the stream
-    /// is unbounded).
+    /// Panics if a flow/prefix/url count is zero,
+    /// `payload_min > payload_max`, or a `payload_max` packet does not
+    /// fit one DMA buffer once encoded (`packets` is ignored — the
+    /// stream is unbounded).
     pub fn new(cfg: &TraceConfig) -> Self {
         assert!(cfg.flows > 0, "need at least one flow");
         assert!(cfg.prefixes > 0, "need at least one prefix");
@@ -286,6 +288,12 @@ impl TrafficSource {
         assert!(
             cfg.payload_min <= cfg.payload_max,
             "payload_min must not exceed payload_max"
+        );
+        // Encoding pads the header plus payload to a whole word.
+        let encoded = (HEADER_BYTES as usize).saturating_add(cfg.payload_max);
+        assert!(
+            encoded.div_ceil(4) * 4 <= DMA_BUF_BYTES as usize,
+            "payload_max must fit a packet into one {DMA_BUF_BYTES}-byte DMA buffer"
         );
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
 
@@ -492,6 +500,23 @@ impl fmt::Display for Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_largest_payload_that_fits_a_dma_buffer_is_accepted() {
+        let mut cfg = TraceConfig::small();
+        cfg.payload_min = 2028;
+        cfg.payload_max = 2028;
+        let pkt = TrafficSource::new(&cfg).next_packet();
+        assert_eq!(pkt.encode().len(), DMA_BUF_BYTES as usize);
+    }
+
+    #[test]
+    #[should_panic(expected = "DMA buffer")]
+    fn payloads_that_overflow_a_dma_buffer_are_rejected() {
+        let mut cfg = TraceConfig::small();
+        cfg.payload_max = 2029;
+        let _ = TrafficSource::new(&cfg);
+    }
 
     #[test]
     fn generation_is_deterministic() {
