@@ -34,7 +34,7 @@
 use crate::campaign::{panic_message, RESEED_STRIDE};
 use crate::config::ClumsyConfig;
 use crate::processor::{GoldenStep, Measured, MeasuredStep};
-use crate::telemetry::{Counter, Telemetry};
+use crate::telemetry::{stat_counters, Counter, MetricsSnapshot, Telemetry};
 use cache_sim::MemStats;
 use netbench::{
     diff_observations, fnv1a_fold, AppError, AppKind, FlowClassifier, Packet, Trace, TraceConfig,
@@ -574,7 +574,14 @@ impl IngressQueue {
 #[must_use]
 pub fn flow_shard(pkt: &Packet, shards: usize) -> usize {
     assert!(shards > 0, "need at least one shard");
-    usize::try_from(pkt.flow_hash() % shards as u64).expect("shard index fits usize")
+    natural_shard(pkt.flow_hash(), shards)
+}
+
+/// The natural shard of `flow` among `shards`: the flow hash mod the
+/// shard count. Total: the remainder is below `shards`, so it always
+/// fits a `usize`, and zero shards count as one.
+fn natural_shard(flow: u64, shards: usize) -> usize {
+    (flow % shards.max(1) as u64) as usize
 }
 
 /// Tuning for skew rebalancing (see [`FlowDirector`]).
@@ -684,7 +691,7 @@ impl FlowDirector {
     /// hot for a full window is pinned to the least-loaded shard.
     pub fn route(&mut self, flow: u64, depths: &[usize]) -> (usize, RouteKind) {
         assert_eq!(depths.len(), self.shards, "one depth per shard");
-        let natural = usize::try_from(flow % self.shards as u64).expect("shard index fits usize");
+        let natural = natural_shard(flow, self.shards);
         if let Some(&pin) = self.pinned.get(&flow) {
             return (pin, RouteKind::Pinned);
         }
@@ -708,7 +715,7 @@ impl FlowDirector {
             } else {
                 let coldest = (0..self.shards)
                     .min_by_key(|&i| depths[i])
-                    .expect("at least two shards");
+                    .unwrap_or(natural);
                 if coldest != natural {
                     self.pinned.insert(flow, coldest);
                     return (coldest, RouteKind::NewPin);
@@ -793,8 +800,6 @@ struct SloTrigger {
     /// Cumulative bucket counts at the last accepted window edge.
     prev: Vec<u64>,
     active: bool,
-    activations: u64,
-    shed: u64,
     last_p99_us: u64,
 }
 
@@ -804,15 +809,14 @@ impl SloTrigger {
             budget_us,
             prev: Vec::new(),
             active: false,
-            activations: 0,
-            shed: 0,
             last_p99_us: 0,
         }
     }
 
-    /// Feeds the current cumulative bucket counts. Windows smaller
-    /// than [`SLO_MIN_SAMPLES`] are merged into the next evaluation.
-    fn update(&mut self, cumulative: &[u64]) {
+    /// Feeds the current cumulative bucket counts and reports whether
+    /// the trigger just went inactive → active. Windows smaller than
+    /// [`SLO_MIN_SAMPLES`] are merged into the next evaluation.
+    fn update(&mut self, cumulative: &[u64]) -> bool {
         if self.prev.len() != cumulative.len() {
             self.prev = vec![0; cumulative.len()];
         }
@@ -822,18 +826,16 @@ impl SloTrigger {
             .map(|(c, p)| c.saturating_sub(*p))
             .collect();
         if deltas.iter().sum::<u64>() < SLO_MIN_SAMPLES {
-            return;
+            return false;
         }
         self.prev.copy_from_slice(cumulative);
         let Some(p99) = histogram_p99_us(&deltas) else {
-            return;
+            return false;
         };
         self.last_p99_us = p99;
-        let blown = p99 > self.budget_us;
-        if blown && !self.active {
-            self.activations += 1;
-        }
-        self.active = blown;
+        let activated = p99 > self.budget_us && !self.active;
+        self.active = p99 > self.budget_us;
+        activated
     }
 }
 
@@ -1017,7 +1019,8 @@ pub struct ShardReport {
     /// Reseeded machine builds after a control-plane fatal.
     pub setup_retries: u64,
     /// Epochs that tripped the safe-mode clamp, summed over
-    /// generations.
+    /// generations (published generations only — a generation that
+    /// dies mid-interval loses its unpublished tail).
     pub safe_mode_entries: u64,
     /// Faults injected into this shard's measured machine (published
     /// generations only — a generation that dies mid-interval loses
@@ -1311,6 +1314,8 @@ struct ShardState {
     golden: GoldenStep,
     measured: MeasuredStep,
     published: MemStats,
+    /// Controller safe-mode entries already folded into the report.
+    published_safe_mode: u32,
 }
 
 impl ShardState {
@@ -1326,6 +1331,7 @@ impl ShardState {
             golden,
             measured,
             published,
+            published_safe_mode: 0,
         })
     }
 
@@ -1346,25 +1352,57 @@ impl ShardState {
         verdict
     }
 
-    /// Publishes the fault counters accumulated since the last publish
-    /// into telemetry and the shard report.
-    fn publish(&mut self, rep: &mut ShardReport, telemetry: Option<&Telemetry>, worker: usize) {
+    /// Publishes the fault counters and safe-mode entries accumulated
+    /// since the last publish into the ledger and the shard report.
+    fn publish(&mut self, ledger: &mut Ledger, rep: &mut ShardReport) {
         let now = *self.measured.machine().stats();
-        let delta = now.since(&self.published);
-        if let Some(t) = telemetry {
-            t.record_stats(worker, &delta);
-        }
-        rep.faults_injected += delta.faults_injected;
-        rep.faults_detected += delta.faults_detected;
-        rep.ways_disabled += delta.ways_disabled;
+        ledger.record_stats(&now.since(&self.published));
         self.published = now;
+        let entries = self
+            .measured
+            .controller()
+            .map_or(0, |c| c.safe_mode_entries());
+        rep.safe_mode_entries += u64::from(entries.saturating_sub(self.published_safe_mode));
+        self.published_safe_mode = entries;
     }
 }
 
-/// Adds `n` to `counter` on shard `worker` when telemetry is attached.
-fn tally(telemetry: Option<&Telemetry>, worker: usize, counter: Counter, n: u64) {
-    if let Some(t) = telemetry {
-        t.add_on(worker, counter, n);
+/// One thread's serve ledger: the pump's, or one shard's across all of
+/// its generations. Every serve event that has a [`Counter`] row is
+/// recorded here exactly once; [`Ledger::add`] bumps the plain count and
+/// forwards the same increment to the caller's telemetry at that
+/// moment, so live metrics keep their timing and the drain-time reports
+/// are views over the same events.
+struct Ledger<'t> {
+    counts: MetricsSnapshot,
+    telemetry: Option<&'t Telemetry>,
+    /// The telemetry shard this thread writes: 0 for the pump, the
+    /// shard index for a shard.
+    worker: usize,
+}
+
+impl<'t> Ledger<'t> {
+    fn new(telemetry: Option<&'t Telemetry>, worker: usize) -> Self {
+        Ledger {
+            counts: MetricsSnapshot::default(),
+            telemetry,
+            worker,
+        }
+    }
+
+    /// Records `n` more of `counter`.
+    fn add(&mut self, counter: Counter, n: u64) {
+        self.counts.add(counter, n);
+        if let Some(t) = self.telemetry {
+            t.add_on(self.worker, counter, n);
+        }
+    }
+
+    /// Records a block of memory-system counters (an interval delta).
+    fn record_stats(&mut self, st: &MemStats) {
+        for (counter, n) in stat_counters(st) {
+            self.add(counter, n);
+        }
     }
 }
 
@@ -1377,7 +1415,8 @@ fn shard_seed(base: u64, shard: usize, round: u64) -> u64 {
 
 /// One shard generation: build a machine pair (reseeding past
 /// control-plane fatals), then consume the queue until it is closed
-/// and drained. Panics propagate to the supervisor.
+/// and drained. Counted events go to `ledger`, the rest of the shard's
+/// state to `rep`. Panics propagate to the supervisor.
 #[allow(clippy::too_many_arguments)]
 fn shard_loop(
     shard: usize,
@@ -1385,7 +1424,7 @@ fn shard_loop(
     context: &Trace,
     queue: &IngressQueue,
     rep: &mut ShardReport,
-    telemetry: Option<&Telemetry>,
+    ledger: &mut Ledger,
     in_flight: &Cell<Option<u32>>,
     rounds: &Cell<u64>,
     panic_armed: &Cell<bool>,
@@ -1398,10 +1437,7 @@ fn shard_loop(
                 state = Some(s);
                 break;
             }
-            Err(_) => {
-                rep.setup_retries += 1;
-                tally(telemetry, 0, Counter::ShardSetupRetries, 1);
-            }
+            Err(_) => ledger.add(Counter::ShardSetupRetries, 1),
         }
     }
     let Some(mut state) = state else {
@@ -1409,8 +1445,7 @@ fn shard_loop(
         // operating point degrades to shedding its queue so the pump
         // and the sibling shards keep moving.
         while queue.pop().is_some() {
-            rep.dropped += 1;
-            tally(telemetry, shard, Counter::PacketsDropped, 1);
+            ledger.add(Counter::PacketsDropped, 1);
         }
         return;
     };
@@ -1423,43 +1458,34 @@ fn shard_loop(
             panic!("injected serve test panic on packet {}", pkt.id);
         }
         let verdict = state.process_packet(&pkt);
-        if let (Some(t), Some(at)) = (telemetry, enqueued) {
+        if let (Some(t), Some(at)) = (ledger.telemetry, enqueued) {
             t.serve_latency(at.elapsed());
         }
         rep.digest = digest_step(rep.digest, pkt.id, verdict as u8);
         match verdict {
-            PacketVerdict::Clean => rep.processed += 1,
+            PacketVerdict::Clean => ledger.add(Counter::PacketsProcessed, 1),
             PacketVerdict::Erroneous => {
-                rep.processed += 1;
-                rep.erroneous += 1;
+                ledger.add(Counter::PacketsProcessed, 1);
+                ledger.add(Counter::PacketsErroneous, 1);
             }
-            PacketVerdict::Dropped => rep.dropped += 1,
-        }
-        if let Some(t) = telemetry {
-            match verdict {
-                PacketVerdict::Clean => t.packet_processed(shard, false),
-                PacketVerdict::Erroneous => t.packet_processed(shard, true),
-                PacketVerdict::Dropped => t.add_on(shard, Counter::PacketsDropped, 1),
-            }
+            PacketVerdict::Dropped => ledger.add(Counter::PacketsDropped, 1),
         }
         in_flight.set(None);
         since_publish += 1;
         if since_publish >= cfg.stats_interval.max(1) {
-            state.publish(rep, telemetry, shard);
+            state.publish(ledger, rep);
             since_publish = 0;
         }
     }
-    state.publish(rep, telemetry, shard);
-    if let Some(ctl) = state.measured.controller() {
-        rep.safe_mode_entries += u64::from(ctl.safe_mode_entries());
-    }
+    state.publish(ledger, rep);
     rep.final_cycle = state.measured.machine().cycle_time();
 }
 
 /// Supervises one shard for the lifetime of the run: every generation
 /// runs under [`catch_unwind`]; a panic accounts the in-flight packet
 /// as abandoned and restarts the loop with a reseeded stream on the
-/// same queue. Only returns once the queue is closed and drained.
+/// same queue. Only returns once the queue is closed and drained, with
+/// the shard's report built from its ledger.
 fn supervise_shard(
     shard: usize,
     cfg: &ServeConfig,
@@ -1472,6 +1498,7 @@ fn supervise_shard(
         final_cycle: 1.0,
         ..ShardReport::default()
     };
+    let mut ledger = Ledger::new(telemetry, shard);
     let in_flight = Cell::new(None::<u32>);
     let rounds = Cell::new(0u64);
     let panic_armed = Cell::new(cfg.panic_on_packet.is_some());
@@ -1483,7 +1510,7 @@ fn supervise_shard(
                 context,
                 queue,
                 &mut rep,
-                telemetry,
+                &mut ledger,
                 &in_flight,
                 &rounds,
                 &panic_armed,
@@ -1492,22 +1519,32 @@ fn supervise_shard(
         match result {
             Ok(()) => break,
             Err(payload) => {
-                rep.panics += 1;
-                rep.restarts += 1;
                 rep.last_panic = Some(panic_message(payload));
                 if in_flight.take().is_some() {
-                    rep.abandoned += 1;
-                    tally(telemetry, 0, Counter::PacketsAbandoned, 1);
+                    ledger.add(Counter::PacketsAbandoned, 1);
                 }
-                tally(telemetry, 0, Counter::ShardPanics, 1);
-                tally(telemetry, 0, Counter::ShardRestarts, 1);
+                ledger.add(Counter::ShardPanics, 1);
+                ledger.add(Counter::ShardRestarts, 1);
                 // Loop: the next generation rebuilds with the next
                 // reseed round and keeps consuming the same queue.
             }
         }
     }
-    rep.queue_highwater = queue.highwater();
-    rep
+    let c = &ledger.counts;
+    ShardReport {
+        processed: c.packets_processed,
+        erroneous: c.packets_erroneous,
+        dropped: c.packets_dropped,
+        abandoned: c.packets_abandoned,
+        panics: c.shard_panics,
+        restarts: c.shard_restarts,
+        setup_retries: c.shard_setup_retries,
+        faults_injected: c.faults_injected,
+        faults_detected: c.faults_detected,
+        ways_disabled: c.ways_disabled,
+        queue_highwater: queue.highwater(),
+        ..rep
+    }
 }
 
 /// Runs the sharded service: spawns one supervised shard thread per
@@ -1551,13 +1588,6 @@ pub fn run_serve(
         .then(|| FlowClassifier::lowest_hashes(&source.flow_hashes(), cfg.control_flows));
     let classes_on = classifier.is_some() || cfg.slo_p99_us.is_some();
     let mut slo = cfg.slo_p99_us.map(SloTrigger::new);
-    let mut slo_reported_activations = 0u64;
-    let mut control_offered = 0u64;
-    let mut control_ingested = 0u64;
-    let mut control_shed = 0u64;
-    let mut data_offered = 0u64;
-    let mut data_shed = 0u64;
-    let mut preempt_shed = 0u64;
 
     let context = source.context();
     let queues: Vec<IngressQueue> = (0..cfg.shards)
@@ -1576,12 +1606,13 @@ pub fn run_serve(
         .map(|r| FlowDirector::new(cfg.shards, r));
     let mut flow_stats: HashMap<u64, (u64, u64)> = HashMap::new(); // (offered, shed)
     let mut depths = vec![0usize; cfg.shards];
-    let mut shed_flow_cap = 0u64;
-    let mut packets_diverted = 0u64;
 
+    // Every counted pump event goes to the ledger. `generated` stays an
+    // independent count, so `generated == ingested + shed` checks the
+    // ledger rather than restating it; `control_offered` has no counter.
+    let mut ledger = Ledger::new(telemetry, 0);
     let mut generated = 0u64;
-    let mut ingested = 0u64;
-    let mut shed = 0u64;
+    let mut control_offered = 0u64;
     let mut interrupted = false;
 
     let shard_reports = std::thread::scope(|s| {
@@ -1610,11 +1641,8 @@ pub fn run_serve(
             let class = classifier
                 .as_ref()
                 .map_or(TrafficClass::Data, |c| c.classify(flow));
-            if classes_on {
-                match class {
-                    TrafficClass::Control => control_offered += 1,
-                    TrafficClass::Data => data_offered += 1,
-                }
+            if class == TrafficClass::Control {
+                control_offered += 1;
             }
             // Evaluate the SLO trigger on a sampled cadence; while it
             // is active, data-class pushes get a zero deadline (shed
@@ -1623,12 +1651,9 @@ pub fn run_serve(
             let mut shed_timeout = cfg.shed_timeout;
             if let (Some(s), Some(t)) = (slo.as_mut(), telemetry) {
                 if generated.is_multiple_of(SLO_CHECK_INTERVAL) {
-                    s.update(&t.serve_latency_bucket_counts());
-                    t.add(
-                        Counter::SloTriggerActivations,
-                        s.activations - slo_reported_activations,
-                    );
-                    slo_reported_activations = s.activations;
+                    if s.update(&t.serve_latency_bucket_counts()) {
+                        ledger.add(Counter::SloTriggerActivations, 1);
+                    }
                     t.set_slo_last_p99_us(s.last_p99_us);
                 }
                 if s.active && class == TrafficClass::Data {
@@ -1642,19 +1667,15 @@ pub fn run_serve(
                 }
                 d.observe(&depths, cfg.queue_depth);
                 let (shard, kind) = d.route(flow, &depths);
-                match kind {
-                    RouteKind::Natural => {}
-                    RouteKind::Pinned | RouteKind::NewPin => {
-                        packets_diverted += 1;
-                        tally(telemetry, 0, Counter::PacketsDiverted, 1);
-                        if kind == RouteKind::NewPin {
-                            tally(telemetry, 0, Counter::FlowsDiverted, 1);
-                        }
-                    }
+                if kind != RouteKind::Natural {
+                    ledger.add(Counter::PacketsDiverted, 1);
+                }
+                if kind == RouteKind::NewPin {
+                    ledger.add(Counter::FlowsDiverted, 1);
                 }
                 shard
             } else {
-                usize::try_from(flow % cfg.shards as u64).expect("shard index fits usize")
+                natural_shard(flow, cfg.shards)
             };
             if overload_on {
                 flow_stats.entry(flow).or_insert((0, 0)).0 += 1;
@@ -1667,11 +1688,7 @@ pub fn run_serve(
             };
             match queues[shard].push_entry(entry, shed_timeout, cfg.shed_policy) {
                 PushOutcome::Enqueued(depth) => {
-                    ingested += 1;
-                    if class == TrafficClass::Control {
-                        control_ingested += 1;
-                    }
-                    tally(telemetry, 0, Counter::PacketsIngested, 1);
+                    ledger.add(Counter::PacketsIngested, 1);
                     if let Some(t) = telemetry {
                         t.queue_depth_sample(depth as u64);
                     }
@@ -1682,70 +1699,47 @@ pub fn run_serve(
                 } => {
                     // A control packet entered by evicting one queued
                     // data packet: net ingested is unchanged (+1
-                    // control in, −1 data out — the data packet was
-                    // already counted when it was enqueued), and the
-                    // eviction is one data-class shed attributed to
-                    // the evicted flow. Telemetry records the same with
-                    // monotone counters: no packets_ingested for the
-                    // control packet, one packets_shed for the evicted
-                    // one, so `generated = ingested + shed` stays
-                    // exact on both ledgers.
-                    shed += 1;
-                    control_ingested += 1;
-                    data_shed += 1;
-                    preempt_shed += 1;
+                    // control in, −1 data out). The counters are
+                    // monotone, so that is recorded as no ingest for the
+                    // control packet (the evicted one was counted when
+                    // it was enqueued) and one data-class shed for the
+                    // eviction, attributed to the evicted flow:
+                    // `generated = ingested + shed` stays exact.
+                    ledger.add(Counter::PacketsShed, 1);
+                    ledger.add(Counter::PacketsShedData, 1);
+                    ledger.add(Counter::PacketsPreemptShed, 1);
                     if overload_on {
                         flow_stats.entry(evicted_flow).or_insert((0, 0)).1 += 1;
                     }
-                    tally(telemetry, 0, Counter::PacketsShed, 1);
-                    tally(telemetry, 0, Counter::PacketsShedData, 1);
-                    tally(telemetry, 0, Counter::PacketsPreemptShed, 1);
                     if let Some(t) = telemetry {
                         t.queue_depth_sample(depth as u64);
                     }
                 }
                 PushOutcome::Shed => {
-                    shed += 1;
-                    if classes_on {
-                        match class {
-                            TrafficClass::Control => control_shed += 1,
-                            TrafficClass::Data => data_shed += 1,
-                        }
-                    }
-                    if slo_tightened {
-                        if let Some(s) = slo.as_mut() {
-                            s.shed += 1;
-                        }
-                    }
-                    if overload_on {
-                        flow_stats.entry(flow).or_insert((0, 0)).1 += 1;
-                    }
-                    tally(telemetry, 0, Counter::PacketsShed, 1);
+                    ledger.add(Counter::PacketsShed, 1);
                     if classes_on {
                         let counter = match class {
                             TrafficClass::Control => Counter::PacketsShedControl,
                             TrafficClass::Data => Counter::PacketsShedData,
                         };
-                        tally(telemetry, 0, counter, 1);
+                        ledger.add(counter, 1);
                     }
                     if slo_tightened {
-                        tally(telemetry, 0, Counter::PacketsShedSlo, 1);
+                        ledger.add(Counter::PacketsShedSlo, 1);
+                    }
+                    if overload_on {
+                        flow_stats.entry(flow).or_insert((0, 0)).1 += 1;
                     }
                 }
                 PushOutcome::ShedFlowCap => {
-                    shed += 1;
-                    shed_flow_cap += 1;
+                    ledger.add(Counter::PacketsShed, 1);
+                    ledger.add(Counter::PacketsShedFlowCap, 1);
                     if classes_on {
                         // Control is exempt from the flow cap, so this
                         // is always data.
-                        data_shed += 1;
+                        ledger.add(Counter::PacketsShedData, 1);
                     }
                     flow_stats.entry(flow).or_insert((0, 0)).1 += 1;
-                    tally(telemetry, 0, Counter::PacketsShed, 1);
-                    tally(telemetry, 0, Counter::PacketsShedFlowCap, 1);
-                    if classes_on {
-                        tally(telemetry, 0, Counter::PacketsShedData, 1);
-                    }
                 }
                 PushOutcome::Closed => break,
             }
@@ -1767,13 +1761,24 @@ pub fn run_serve(
             t.queue_depth_sample(q.highwater() as u64);
         }
     }
-    let repairs: u64 = queues.iter().map(IngressQueue::invariant_repairs).sum();
-    tally(telemetry, 0, Counter::QueueInvariantRepairs, repairs);
+    let queue_sum = |f: fn(&IngressQueue) -> u64| queues.iter().map(f).sum();
+    ledger.add(
+        Counter::QueueInvariantRepairs,
+        queue_sum(IngressQueue::invariant_repairs),
+    );
+    ledger.add(
+        Counter::DrrDeficitTopups,
+        queue_sum(IngressQueue::drr_topups),
+    );
+    ledger.add(
+        Counter::RebalancePinTableFull,
+        director.as_ref().map_or(0, FlowDirector::pin_table_full),
+    );
+
+    // The reports: views over the pump ledger plus the state that has
+    // no counter.
+    let c = &ledger.counts;
     let overload = overload_on.then(|| {
-        let drr_deficit_topups: u64 = queues.iter().map(IngressQueue::drr_topups).sum();
-        let pin_table_full = director.as_ref().map_or(0, FlowDirector::pin_table_full);
-        tally(telemetry, 0, Counter::DrrDeficitTopups, drr_deficit_topups);
-        tally(telemetry, 0, Counter::RebalancePinTableFull, pin_table_full);
         let mut top_flows: Vec<FlowTraffic> = flow_stats
             .iter()
             .map(|(&flow, &(offered, shed))| FlowTraffic {
@@ -1786,31 +1791,33 @@ pub fn run_serve(
         let flows_seen = top_flows.len() as u64;
         top_flows.truncate(8);
         OverloadReport {
-            shed_flow_cap,
-            drr_deficit_topups,
+            shed_flow_cap: c.packets_shed_flow_cap,
+            drr_deficit_topups: c.drr_deficit_topups,
             flows_seen,
-            flows_pinned: director.as_ref().map_or(0, |d| d.pinned_flows() as u64),
-            packets_diverted,
-            pin_table_full,
+            flows_pinned: c.flows_diverted,
+            packets_diverted: c.packets_diverted,
+            pin_table_full: c.rebalance_pin_table_full,
             top_flows,
         }
     });
+    // Control is never flow-capped, so a control packet is either
+    // ingested (enqueued or preempting) or shed.
     let classes = classes_on.then(|| ClassReport {
         control_offered,
-        control_ingested,
-        control_shed,
-        data_offered,
-        data_shed,
-        preempt_shed,
+        control_ingested: control_offered - c.packets_shed_control,
+        control_shed: c.packets_shed_control,
+        data_offered: generated - control_offered,
+        data_shed: c.packets_shed_data,
+        preempt_shed: c.packets_preempt_shed,
         slo_budget_us: cfg.slo_p99_us,
-        slo_activations: slo.as_ref().map_or(0, |s| s.activations),
-        slo_shed: slo.as_ref().map_or(0, |s| s.shed),
+        slo_activations: c.slo_trigger_activations,
+        slo_shed: c.packets_shed_slo,
         slo_last_p99_us: slo.as_ref().map_or(0, |s| s.last_p99_us),
     });
     ServeReport {
         generated,
-        ingested,
-        shed,
+        ingested: c.packets_ingested,
+        shed: c.packets_shed,
         shards: shard_reports,
         overload,
         classes,
@@ -2443,21 +2450,18 @@ mod tests {
         // Too few samples: carried forward, still inactive.
         let mut cum = vec![0u64; 8];
         cum[7] = SLO_MIN_SAMPLES - 1;
-        s.update(&cum);
+        assert!(!s.update(&cum));
         assert!(!s.active);
-        assert_eq!(s.activations, 0);
         // One more slow verdict completes the window; bucket 7's upper
         // edge (255) blows the 100 µs budget.
         cum[7] = SLO_MIN_SAMPLES;
-        s.update(&cum);
+        assert!(s.update(&cum), "inactive -> active is one activation");
         assert!(s.active);
-        assert_eq!(s.activations, 1);
         assert_eq!(s.last_p99_us, 255);
         // A fast window deactivates without a second activation.
         cum[0] += 64;
-        s.update(&cum);
+        assert!(!s.update(&cum));
         assert!(!s.active);
-        assert_eq!(s.activations, 1);
         assert_eq!(s.last_p99_us, 1);
     }
 
@@ -2561,6 +2565,36 @@ mod tests {
         assert_eq!(d.pinned_flows(), 1);
         // Three new flows wanted pins after the table filled.
         assert_eq!(d.pin_table_full(), 3);
+    }
+
+    #[test]
+    fn safe_mode_entries_survive_a_panicking_generation() {
+        // A storm-rate design: ten-packet epochs and a clamp that trips
+        // on any fault, under a fault rate that makes most epochs storm.
+        let mut dynamic =
+            crate::config::DynamicConfig::paper().with_safe_mode(crate::SafeModeConfig {
+                threshold: 0,
+                hold_epochs: 1,
+            });
+        dynamic.epoch_packets = 10;
+        let mut cfg = serve_cfg(600).with_shards(1);
+        cfg.design = ClumsyConfig::baseline()
+            .with_fault_model(fault_model::FaultProbabilityModel::new(1e-5, 0.2))
+            .with_dynamic(dynamic);
+        cfg.stats_interval = 1;
+        // The panic hits the last packet, after the first generation has
+        // published every entry it made; the restarted generation serves
+        // nothing. Its entries must survive, as a clean run over the
+        // same 599 packets shows.
+        let last = TrafficSource::new(&cfg.traffic)
+            .nth(599)
+            .expect("stream is unbounded");
+        let faulty = run_serve(&cfg.clone().with_panic_on_packet(last.id), None, &|| false);
+        let clean = run_serve(&cfg.with_packet_budget(599), None, &|| false);
+        assert_eq!(faulty.restarts(), 1);
+        let entries = clean.shards[0].safe_mode_entries;
+        assert!(entries > 0, "the design must storm: {clean:?}");
+        assert_eq!(faulty.shards[0].safe_mode_entries, entries);
     }
 
     #[test]

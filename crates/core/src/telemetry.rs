@@ -54,7 +54,8 @@ pub const METRICS_SCHEMA: &str = "clumsy-metrics-v1";
 const HIST_BUCKETS: usize = 24;
 
 /// Generates [`Counter`], the per-shard storage, [`MetricsSnapshot`] and
-/// [`Telemetry::record_stats`] from one row per key:
+/// the [`MemStats`] fold behind [`Telemetry::record_stats`] from one row
+/// per key:
 /// `Variant key in "group" [<- mem_stats_field];`.
 macro_rules! counter_table {
     ($(
@@ -102,16 +103,20 @@ macro_rules! counter_table {
                     ..MetricsSnapshot::default()
                 }
             }
+
+            /// Adds `n` to `counter`'s field: a snapshot doubles as a
+            /// plain, single-threaded ledger.
+            pub(crate) fn add(&mut self, counter: Counter, n: u64) {
+                match counter {
+                    $(Counter::$var => self.$key += n,)*
+                }
+            }
         }
 
-        impl Telemetry {
-            /// Folds a block of memory-system counters into the tallies —
-            /// whole-run stats for batch jobs, or an interval delta
-            /// ([`MemStats::since`]) for the serve path's periodic
-            /// publishes.
-            pub fn record_stats(&self, worker: usize, st: &MemStats) {
-                $($(self.add_on(worker, Counter::$var, st.$stat);)?)*
-            }
+        /// The memory-system counters of `st`, paired with the
+        /// [`Counter`] each one folds into.
+        pub(crate) fn stat_counters(st: &MemStats) -> impl Iterator<Item = (Counter, u64)> {
+            [$($((Counter::$var, st.$stat),)?)*].into_iter()
         }
     };
 }
@@ -373,6 +378,15 @@ impl Telemetry {
     /// serve pump's.
     pub fn add(&self, counter: Counter, n: u64) {
         self.add_on(0, counter, n);
+    }
+
+    /// Folds a block of memory-system counters into the tallies —
+    /// whole-run stats for batch jobs, or an interval delta
+    /// ([`MemStats::since`]) for the serve path's periodic publishes.
+    pub fn record_stats(&self, worker: usize, st: &MemStats) {
+        for (counter, n) in stat_counters(st) {
+            self.add_on(worker, counter, n);
+        }
     }
 
     /// Raises the gauge `counter` to at least `v`.
@@ -678,51 +692,23 @@ impl MetricsSnapshot {
     }
 }
 
-/// Which line format a [`ProgressReporter`] prints.
-#[derive(Debug, Clone, Copy)]
-enum LineMode {
-    /// Bounded campaign: completion fraction, rate, ETA.
-    Campaign,
-    /// Open-ended serving: packet rate and outcome tallies, no ETA.
-    Serve,
-}
-
-/// Background thread printing a [`MetricsSnapshot::progress_line`] to
-/// stderr every interval. Started behind `--progress`; stopping (or
-/// dropping) joins the thread after one final line.
+/// A background thread calling `tick` once per `every` (and first at
+/// start when `immediate`) until stopped, then once more, so the last
+/// interval is never lost. Dropping stops it and joins the thread.
 #[derive(Debug)]
-pub struct ProgressReporter {
+struct Ticker {
     state: Arc<(Mutex<bool>, Condvar)>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
-impl ProgressReporter {
-    /// Spawns the reporter: one line per `every` until stopped.
-    #[must_use]
-    pub fn start(telemetry: Arc<Telemetry>, label: &str, every: Duration) -> Self {
-        ProgressReporter::start_mode(telemetry, label, every, LineMode::Campaign)
-    }
-
-    /// Spawns the reporter in open-ended mode: rate and outcome
-    /// tallies with no job total and no ETA, for jobs whose end is not
-    /// known up front (the serve path's unbounded stream).
-    #[must_use]
-    pub fn start_open_ended(telemetry: Arc<Telemetry>, label: &str, every: Duration) -> Self {
-        ProgressReporter::start_mode(telemetry, label, every, LineMode::Serve)
-    }
-
-    fn start_mode(telemetry: Arc<Telemetry>, label: &str, every: Duration, mode: LineMode) -> Self {
+impl Ticker {
+    fn start(every: Duration, immediate: bool, mut tick: impl FnMut() + Send + 'static) -> Self {
         let state = Arc::new((Mutex::new(false), Condvar::new()));
         let thread_state = Arc::clone(&state);
-        let label = label.to_string();
-        let line = move || {
-            let snap = telemetry.snapshot();
-            match mode {
-                LineMode::Campaign => snap.progress_line(&label),
-                LineMode::Serve => snap.serve_progress_line(&label),
-            }
-        };
         let handle = std::thread::spawn(move || {
+            if immediate {
+                tick();
+            }
             let (stop, cv) = &*thread_state;
             let mut stopped = stop.lock().unwrap_or_else(|e| e.into_inner());
             // Checked before every wait: a stop issued before this
@@ -733,25 +719,21 @@ impl ProgressReporter {
                     .unwrap_or_else(|e| e.into_inner());
                 stopped = guard;
                 if timeout.timed_out() && !*stopped {
-                    eprintln!("{}", line());
+                    tick();
                 }
             }
             drop(stopped);
-            // One final line so short runs still report something.
-            eprintln!("{}", line());
+            tick();
         });
-        ProgressReporter {
+        Ticker {
             state,
             handle: Some(handle),
         }
     }
+}
 
-    /// Stops the reporter and joins its thread (also done on drop).
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
+impl Drop for Ticker {
+    fn drop(&mut self) {
         let (stop, cv) = &*self.state;
         *stop.lock().unwrap_or_else(|e| e.into_inner()) = true;
         cv.notify_all();
@@ -761,9 +743,48 @@ impl ProgressReporter {
     }
 }
 
-impl Drop for ProgressReporter {
-    fn drop(&mut self) {
-        self.shutdown();
+/// Background thread printing a [`MetricsSnapshot::progress_line`] to
+/// stderr every interval. Started behind `--progress`; stopping (or
+/// dropping) joins the thread after one final line, so short runs still
+/// report something.
+#[derive(Debug)]
+pub struct ProgressReporter(Ticker);
+
+impl ProgressReporter {
+    /// Spawns the reporter: one line per `every` until stopped.
+    #[must_use]
+    pub fn start(telemetry: Arc<Telemetry>, label: &str, every: Duration) -> Self {
+        ProgressReporter::start_with(telemetry, label, every, MetricsSnapshot::progress_line)
+    }
+
+    /// Spawns the reporter in open-ended mode: rate and outcome
+    /// tallies with no job total and no ETA, for jobs whose end is not
+    /// known up front (the serve path's unbounded stream).
+    #[must_use]
+    pub fn start_open_ended(telemetry: Arc<Telemetry>, label: &str, every: Duration) -> Self {
+        ProgressReporter::start_with(
+            telemetry,
+            label,
+            every,
+            MetricsSnapshot::serve_progress_line,
+        )
+    }
+
+    fn start_with(
+        telemetry: Arc<Telemetry>,
+        label: &str,
+        every: Duration,
+        line: fn(&MetricsSnapshot, &str) -> String,
+    ) -> Self {
+        let label = label.to_string();
+        ProgressReporter(Ticker::start(every, false, move || {
+            eprintln!("{}", line(&telemetry.snapshot(), &label));
+        }))
+    }
+
+    /// Stops the reporter and joins its thread (also done on drop).
+    pub fn stop(self) {
+        drop(self.0);
     }
 }
 
@@ -773,10 +794,7 @@ impl Drop for ProgressReporter {
 /// schema-valid snapshot rather than only the final one. Stopping (or
 /// dropping) writes one last snapshot and joins the thread.
 #[derive(Debug)]
-pub struct MetricsFlusher {
-    state: Arc<(Mutex<bool>, Condvar)>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
+pub struct MetricsFlusher(Ticker);
 
 impl MetricsFlusher {
     /// Spawns the flusher: an immediate write so the file exists from
@@ -787,62 +805,24 @@ impl MetricsFlusher {
     /// disk must not take the serving loop down with it.
     #[must_use]
     pub fn start(telemetry: Arc<Telemetry>, path: PathBuf, every: Duration) -> Self {
-        let state = Arc::new((Mutex::new(false), Condvar::new()));
-        let thread_state = Arc::clone(&state);
-        let handle = std::thread::spawn(move || {
-            let mut warned = false;
-            let flush = |warned: &mut bool| {
-                if let Err(e) =
-                    crate::journal::atomic_write(&path, telemetry.metrics_json().as_bytes())
-                {
-                    if !*warned {
-                        eprintln!("warning: metrics flush to {} failed: {e}", path.display());
-                        *warned = true;
-                    }
-                }
-            };
-            // A watcher attaching right after launch (or a run killed
-            // inside the first interval) still finds a complete,
-            // schema-valid snapshot.
-            flush(&mut warned);
-            let (stop, cv) = &*thread_state;
-            let mut stopped = stop.lock().unwrap_or_else(|e| e.into_inner());
-            while !*stopped {
-                let (guard, timeout) = cv
-                    .wait_timeout(stopped, every)
-                    .unwrap_or_else(|e| e.into_inner());
-                stopped = guard;
-                if timeout.timed_out() && !*stopped {
-                    flush(&mut warned);
+        let mut warned = false;
+        // The immediate write: a watcher attaching right after launch
+        // (or a run killed inside the first interval) still finds a
+        // complete, schema-valid snapshot.
+        MetricsFlusher(Ticker::start(every, true, move || {
+            if let Err(e) = crate::journal::atomic_write(&path, telemetry.metrics_json().as_bytes())
+            {
+                if !warned {
+                    eprintln!("warning: metrics flush to {} failed: {e}", path.display());
+                    warned = true;
                 }
             }
-            drop(stopped);
-            flush(&mut warned);
-        });
-        MetricsFlusher {
-            state,
-            handle: Some(handle),
-        }
+        }))
     }
 
     /// Stops the flusher after one final write (also done on drop).
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        let (stop, cv) = &*self.state;
-        *stop.lock().unwrap_or_else(|e| e.into_inner()) = true;
-        cv.notify_all();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for MetricsFlusher {
-    fn drop(&mut self) {
-        self.shutdown();
+    pub fn stop(self) {
+        drop(self.0);
     }
 }
 
